@@ -1465,6 +1465,82 @@ let batch_smoke () =
   Pool.shutdown pool;
   Printf.printf "all parallel paths agree with serial\n"
 
+(* [--smoke] for H1's cofactor fold: on every named set, the four call
+   sites that pair raw H1 lifts against a folded h.P (update verify, the
+   encryptor's release key, BLS verify, threshold partials) return exactly
+   what the plain path returns, honest and tampered inputs alike, and a
+   forced lift of order dividing h falls back to the plain value. *)
+let fold_smoke () =
+  Printf.printf "H1-fold smoke: folded h.P vs plain H1 pairings\n";
+  List.iter
+    (fun set_name ->
+      let prms = Option.get (Pairing.by_name set_name) in
+      let curve = prms.Pairing.curve and g = prms.Pairing.g in
+      let rng = Hashing.Drbg.create ~seed:("fold-smoke-" ^ set_name) () in
+      let srv_sec, srv_pub = Tre.Server.keygen prms rng in
+      let _, usr_pub = Tre.User.keygen prms srv_pub rng in
+      let vrf = Tre.Verifier.create prms srv_pub in
+      let enc = Tre.Encryptor.create prms srv_pub usr_pub in
+      let bls_pub = { Bls.g = srv_pub.Tre.Server.g; pk = srv_pub.Tre.Server.sg } in
+      let bvrf = Bls.make_verifier prms bls_pub in
+      let system, servers = Threshold_server.setup prms rng ~k:2 ~n:2 in
+      let before = (Pairing.stats ()).Pairing.fold_fallbacks in
+      let upds =
+        List.init 3 (fun i -> Tre.issue_update prms srv_sec (Printf.sprintf "fold-%d" i))
+      in
+      let tampered =
+        List.map
+          (fun u -> { u with Tre.update_value = Curve.add curve u.Tre.update_value g })
+          upds
+      in
+      List.iter
+        (fun u ->
+          let label = u.Tre.update_time in
+          assert (
+            Tre.Verifier.verify_update prms vrf u = Tre.verify_update prms srv_pub u);
+          assert (
+            Bls.verify_with prms bvrf label u.Tre.update_value
+            = Bls.verify prms bls_pub label u.Tre.update_value);
+          let seed = "fold-smoke-enc-" ^ label in
+          let a =
+            Tre.encrypt prms srv_pub usr_pub ~release_time:label
+              (Hashing.Drbg.create ~seed ()) msg32
+          in
+          let b =
+            Tre.Encryptor.encrypt enc ~release_time:label (Hashing.Drbg.create ~seed ())
+              msg32
+          in
+          assert (Curve.equal a.Tre.u b.Tre.u && a.Tre.v = b.Tre.v);
+          List.iter
+            (fun sv ->
+              assert (
+                Threshold_server.verify_partial prms system label
+                  (Threshold_server.issue_partial prms sv label)))
+            servers)
+        upds;
+      assert ((Pairing.stats ()).Pairing.fold_fallbacks = before);
+      List.iter
+        (fun u ->
+          assert (not (Tre.Verifier.verify_update prms vrf u));
+          assert (not (Bls.verify_with prms bvrf u.Tre.update_time u.Tre.update_value)))
+        tampered;
+      assert (Tre.Verifier.verify_updates prms vrf upds);
+      assert (not (Tre.Verifier.verify_updates prms vrf (List.hd tampered :: List.tl upds)));
+      let lift = Curve.mul curve prms.Pairing.q (Pairing.hash_to_g1_unclamped prms "fold-low") in
+      let fsg = Pairing.prepare ~fold_cofactor:true prms srv_pub.Tre.Server.sg in
+      let u = List.hd upds in
+      assert (
+        Fp2.equal
+          (Pairing.h1_pairing_prepared_lift prms fsg ~lift u.Tre.update_time)
+          (Pairing.pairing prms srv_pub.Tre.Server.sg
+             (Pairing.hash_to_g1 prms u.Tre.update_time)));
+      assert (
+        Pairing.h1_equal_check_prepared_lift prms ~lhs:(fsg, u.Tre.update_time) ~lift
+          ~rhs:(Pairing.prepare prms g, u.Tre.update_value));
+      Printf.printf "h1-fold %-18s OK\n" set_name)
+    Pairing.all_names;
+  Printf.printf "all folded paths agree with the plain path\n"
+
 (* =========================================================================
    A1 - ablation: implementation choices (pairing products)
    ========================================================================= *)
@@ -1820,6 +1896,7 @@ let () =
     e1opt_smoke ();
     e1kernel_smoke ();
     batch_smoke ();
+    fold_smoke ();
     exit 0
   end;
   if e1kernel_only then begin

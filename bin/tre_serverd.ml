@@ -75,12 +75,13 @@ let print_stats (st : Netmsg.stats) =
      updates encoded %d; frames sent %d (%d bytes)\n\
      archive hits %d, misses %d; protocol errors %d; slow disconnects %d\n\
      queue bytes now %d, peak %d\n\
-     send syscalls %d; poll wakeups %d; conns per shard [%s]\n%!"
+     send syscalls %d; poll wakeups %d; accepts at fd limit %d\n\
+     conns per shard [%s]\n%!"
     st.Netmsg.conns_accepted st.Netmsg.conns_open st.Netmsg.subscribers
     st.Netmsg.updates_encoded st.Netmsg.frames_sent st.Netmsg.bytes_sent
     st.Netmsg.archive_hits st.Netmsg.archive_misses st.Netmsg.protocol_errors
     st.Netmsg.slow_disconnects st.Netmsg.queue_bytes st.Netmsg.queue_bytes_peak
-    st.Netmsg.send_syscalls st.Netmsg.poll_wakeups
+    st.Netmsg.send_syscalls st.Netmsg.poll_wakeups st.Netmsg.accept_fd_exhausted
     (String.concat "; " (List.map string_of_int st.Netmsg.shard_conns))
 
 let () =

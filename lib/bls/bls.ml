@@ -25,10 +25,14 @@ let verify prms public msg signature =
 
 (* Both verification pairings have a fixed first argument (G and pk), so
    a verifier that checks many signatures from one signer prepares them
-   once. [vkey] keys the batch-exponent derandomizer to this signer. *)
+   once — pk folded with H1's cofactor, as h.pk (recorded on first use),
+   so messages pair by their raw H1 lift with no cofactor multiplication
+   (e^(h.pk, L) = e^(pk, h.L); the fallback rule lives in
+   [Pairing.h1_equal_check_prepared]). [vkey] keys the batch-exponent
+   derandomizer to this signer. *)
 type verifier = {
   vg : Pairing.prepared;
-  vpk : Pairing.prepared;
+  vpk : Pairing.prepared; (* h.pk *)
   vkey : string;
 }
 
@@ -39,14 +43,14 @@ let key_bytes prms (public : public) =
 let make_verifier prms (public : public) =
   {
     vg = Pairing.prepare prms public.g;
-    vpk = Pairing.prepare prms public.pk;
+    vpk = Pairing.prepare ~fold_cofactor:true prms public.pk;
     vkey = key_bytes prms public;
   }
 
 let verify_with prms vrf msg signature =
   Pairing.in_g1 prms signature
-  && Pairing.pairing_equal_check_prepared prms ~lhs:(vrf.vg, signature)
-       ~rhs:(vrf.vpk, Pairing.hash_to_g1 prms msg)
+  && Pairing.h1_equal_check_prepared prms ~lhs:(vrf.vpk, msg)
+       ~rhs:(vrf.vg, signature)
 
 (* Batch verification (Bellare–Garay–Rabin small exponents): check
    e^(G, sum d_i sig_i) = e^(pk, sum d_i H1(m_i)) for derandomized 64-bit
@@ -70,7 +74,8 @@ let verify_with prms vrf msg signature =
 
    - cofactor clearing inside H1 commutes with the weighted sum
      (sum d_i * (h * P_i) = h * sum d_i * P_i), so each item hashes only
-     to the raw curve lift and the batch pays ONE h-mult on the H-sum.
+     to the raw curve lift and the batch pays ONE h-mult on the H-sum —
+     or none, against a verifier's folded h.pk.
 
    The per-item work (on-curve check, raw H1 lift) is independent across
    items, so an optional [Pool] shards it; the weighted sums themselves
@@ -106,9 +111,9 @@ let batch_sums ?pool prms ~key pairs =
     let sum_h_raw =
       Curve.msm curve (List.map2 (fun d (_, _, h) -> (d, h)) ds checked)
     in
-    (* One aggregate subgroup check, one aggregate cofactor clearing. *)
-    if not (Pairing.in_g1 prms sum_sig) then None
-    else Some (sum_sig, Curve.mul curve prms.Pairing.cofactor sum_h_raw)
+    (* One aggregate subgroup check; the raw H-sum is cleared by the
+       caller, or paired against a folded h.pk. *)
+    if not (Pairing.in_g1 prms sum_sig) then None else Some (sum_sig, sum_h_raw)
   end
 
 let verify_batch ?pool prms public pairs =
@@ -116,9 +121,10 @@ let verify_batch ?pool prms public pairs =
   else begin
     match batch_sums ?pool prms ~key:(key_bytes prms public) pairs with
     | None -> false
-    | Some (sum_sig, sum_h) ->
+    | Some (sum_sig, sum_h_raw) ->
         Pairing.pairing_equal_check prms ~lhs:(public.g, sum_sig)
-          ~rhs:(public.pk, sum_h)
+          ~rhs:
+            (public.pk, Curve.mul prms.Pairing.curve prms.Pairing.cofactor sum_h_raw)
   end
 
 let verify_batch_with ?pool prms vrf pairs =
@@ -126,9 +132,9 @@ let verify_batch_with ?pool prms vrf pairs =
   else begin
     match batch_sums ?pool prms ~key:vrf.vkey pairs with
     | None -> false
-    | Some (sum_sig, sum_h) ->
+    | Some (sum_sig, sum_h_raw) ->
         Pairing.pairing_equal_check_prepared prms ~lhs:(vrf.vg, sum_sig)
-          ~rhs:(vrf.vpk, sum_h)
+          ~rhs:(vrf.vpk, sum_h_raw)
   end
 
 let signature_bytes prms = Codec.header_bytes + Pairing.point_bytes prms

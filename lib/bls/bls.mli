@@ -49,14 +49,16 @@ val verify_batch :
     without it. *)
 
 type verifier
-(** Prepared pairings ({!Pairing.prepare}) for one signer's (G, pk), for
-    parties that verify many of their signatures. *)
+(** Prepared pairings ({!Pairing.prepare}) for one signer's (G, pk) — pk
+    folded with H1's cofactor and recorded on first use — for parties
+    that verify many of their signatures. *)
 
 val make_verifier : Pairing.params -> public -> verifier
 
 val verify_with : Pairing.params -> verifier -> string -> signature -> bool
 (** Same result as {!verify}, skipping the Miller loops' point
-    arithmetic. *)
+    arithmetic and H1's cofactor multiplication
+    ({!Pairing.h1_equal_check_prepared}). *)
 
 val verify_batch_with :
   ?pool:Pool.t -> Pairing.params -> verifier -> (string * signature) list -> bool

@@ -120,6 +120,7 @@ type t = {
   st_queue_peak : int Atomic.t;
   st_send_syscalls : int Atomic.t;
   st_poll_wakeups : int Atomic.t;
+  st_accept_fd_exhausted : int Atomic.t;
 }
 
 (* --- lock-free mailboxes --- *)
@@ -239,6 +240,7 @@ let stats t =
     queue_bytes_peak = Atomic.get t.st_queue_peak;
     send_syscalls = Atomic.get t.st_send_syscalls;
     poll_wakeups = Atomic.get t.st_poll_wakeups;
+    accept_fd_exhausted = Atomic.get t.st_accept_fd_exhausted;
     shard_conns =
       Array.to_list (Array.map (fun sh -> Atomic.get sh.nconns) t.shards);
   }
@@ -507,8 +509,15 @@ let assign t fd =
   push_atomic sh.inbox_conns fd;
   wake sh
 
+(* At the fd limit [accept] fails with EMFILE/ENFILE while the pending
+   connection keeps the listen socket readable, so a level-triggered
+   poller would hand it straight back: a busy loop. A listener that hits
+   the limit drops its read interest until a poll wait times out (or a
+   connection has closed since), then tries again — a few attempts per
+   second instead of a spinning core. Each refusal is counted. *)
 let listener_loop t poller =
   List.iter (fun fd -> Poller.add poller fd ~read:true ~write:false) t.listeners;
+  let paused = ref [] and open_at_pause = ref 0 in
   let on_event lfd ~readable ~writable:_ =
     if readable then begin
       let continue = ref true in
@@ -523,14 +532,27 @@ let listener_loop t poller =
             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           ->
             continue := false
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+            Atomic.incr t.st_accept_fd_exhausted;
+            Poller.modify poller lfd ~read:false ~write:false;
+            if !paused = [] then open_at_pause := Atomic.get t.st_open;
+            paused := lfd :: !paused;
+            continue := false
         | exception Unix.Unix_error (_, _, _) -> continue := false
       done
     end
   in
   while not (Atomic.get t.stopping) do
-    match Poller.wait poller ~timeout_ms:200 on_event with
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
+    let events =
+      match Poller.wait poller ~timeout_ms:200 on_event with
+      | n -> n
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> 0
+    in
+    if !paused <> [] && (events = 0 || Atomic.get t.st_open < !open_at_pause)
+    then begin
+      List.iter (fun fd -> Poller.modify poller fd ~read:true ~write:false) !paused;
+      paused := []
+    end
   done;
   Poller.close poller
 
@@ -579,6 +601,7 @@ let create ?secret (cfg : config) rng =
     vectored = cfg.vectored && Poller.writev_available;
     st_accepted = Atomic.make 0;
     st_open = Atomic.make 0;
+    st_accept_fd_exhausted = Atomic.make 0;
     st_subscribers = Atomic.make 0;
     st_encoded = Atomic.make 0;
     st_frames_sent = Atomic.make 0;

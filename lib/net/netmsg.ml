@@ -31,6 +31,7 @@ type stats = {
   queue_bytes_peak : int;
   send_syscalls : int;
   poll_wakeups : int;
+  accept_fd_exhausted : int;
   shard_conns : int list;
 }
 
@@ -111,7 +112,7 @@ let stats_to_bytes prms (s : stats) =
           s.conns_accepted; s.conns_open; s.subscribers; s.updates_encoded;
           s.frames_sent; s.bytes_sent; s.archive_hits; s.archive_misses;
           s.protocol_errors; s.slow_disconnects; s.queue_bytes; s.queue_bytes_peak;
-          s.send_syscalls; s.poll_wakeups;
+          s.send_syscalls; s.poll_wakeups; s.accept_fd_exhausted;
         ];
       Codec.add_u32 buf (List.length s.shard_conns);
       List.iter (Codec.add_u64 buf) s.shard_conns)
@@ -189,11 +190,12 @@ let stats_of_bytes prms s =
       let queue_bytes_peak = f "queue bytes peak" in
       let send_syscalls = f "send syscalls" in
       let poll_wakeups = f "poll wakeups" in
+      let accept_fd_exhausted = f "accepts at fd limit" in
       let n_shards = Codec.read_u32 ~what:"shard count" ~max:max_shards_on_wire r in
       let shard_conns = List.init n_shards (fun _ -> f "shard conns") in
       {
         conns_accepted; conns_open; subscribers; updates_encoded; frames_sent;
         bytes_sent; archive_hits; archive_misses; protocol_errors;
         slow_disconnects; queue_bytes; queue_bytes_peak; send_syscalls;
-        poll_wakeups; shard_conns;
+        poll_wakeups; accept_fd_exhausted; shard_conns;
       })

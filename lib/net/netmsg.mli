@@ -46,6 +46,9 @@ type stats = {
       (** write/writev syscalls on the send path — with vectored writes
           a broadcast epoch costs ~1 per subscriber, not 1 per frame *)
   poll_wakeups : int;  (** poller waits that returned ≥ 1 ready event *)
+  accept_fd_exhausted : int;
+      (** accepts refused at the fd limit (EMFILE/ENFILE); each pauses
+          the listener until its next poll timeout *)
   shard_conns : int list;  (** open connections per shard, in shard order *)
 }
 

@@ -42,6 +42,9 @@ type prepared =
   | Prep_inf
   | Prep_xx of { ops : int array; lines : Fp.t array; sqrs : int }
   | Prep_x1 of x1_op list array
+  | Prep_folded of { base : Curve.point; schedule : prepared option Atomic.t }
+      (* h * base, recorded on first use (see [resolve]); [base] itself
+         stays at hand for the H1 entry points' fallback *)
 
 type params = {
   name : string;
@@ -374,14 +377,30 @@ let prepare_raw prms pt =
   | Y2_x3_x -> prepare_xx prms pt
   | Y2_x3_1 -> prepare_x1 prms pt
 
-let prepare prms pt =
+(* The schedule behind a prepared value: a cofactor-folded one records
+   h * base the first time any pairing needs it. The cell is an atomic,
+   not a [Lazy.t], so a folded value shared across domains before its
+   first use is safe: racing recorders compute the same schedule and the
+   last store wins. *)
+let resolve prms = function
+  | Prep_folded { base; schedule } -> (
+      match Atomic.get schedule with
+      | Some sched -> sched
+      | None ->
+          let sched = prepare_raw prms (Curve.mul prms.curve prms.cofactor base) in
+          Atomic.set schedule (Some sched);
+          sched)
+  | prep -> prep
+
+let prepare ?(fold_cofactor = false) prms pt =
   (* Every long-lived verifier prepares the system generator (it is one
      side of the paper's verification equation); hand back the
      construction-time schedule instead of re-recording it. [g_prep]
      itself is built through [prepare_raw] — and [Lazy.is_val] is true
      WHILE a lazy is being forced, so this test must never be reachable
      from the suspension. *)
-  if Curve.equal pt prms.g && Lazy.is_val prms.g_prep then
+  if fold_cofactor then Prep_folded { base = pt; schedule = Atomic.make None }
+  else if Curve.equal pt prms.g && Lazy.is_val prms.g_prep then
     Lazy.force prms.g_prep
   else prepare_raw prms pt
 
@@ -1323,10 +1342,11 @@ let miller_prepared_x1 prms steps qt =
       Fp2.mul fp !f_num (Fp2.inv fp !f_den)
 
 let miller_loop_prepared prms prep qt =
-  match prep with
+  match resolve prms prep with
   | Prep_inf -> Fp2.one prms.fp
   | Prep_xx { ops; lines; sqrs = _ } -> miller_prepared_xx prms ops lines qt
   | Prep_x1 steps -> miller_prepared_x1 prms steps qt
+  | Prep_folded _ -> assert false (* resolved *)
 
 let miller_loop prms pt qt =
   match prms.family with
@@ -1471,7 +1491,7 @@ let xx_product prms items =
   let extras = ref [] in
   let nprep = ref 0 and lives = ref [] in
   let classify_prep prep qt =
-    match (prep, qt) with
+    match (resolve prms prep, qt) with
     | Prep_inf, _ | _, Curve.Infinity -> ()
     | Prep_xx { ops; lines; sqrs }, Curve.Affine q' when sqrs = n_sqrs ->
         let s = slots.(!nprep) in
@@ -1585,16 +1605,18 @@ let x1_product prms items =
     (fun (a, qt) ->
       match (a, qt) with
       | _, Curve.Infinity -> ()
-      | Prepared Prep_inf, _ -> ()
-      | Prepared (Prep_x1 steps), Curve.Affine q' ->
-          let s = slots.(!nprep) in
-          s.ks_steps <- steps;
-          Fp.Mut.mul_into fp s.ks_xq2.Fp2.re prms.zeta.Fp2.re q'.x;
-          Fp.Mut.mul_into fp s.ks_xq2.Fp2.im prms.zeta.Fp2.im q'.x;
-          s.ks_yq <- q'.y;
-          incr nprep
-      | Prepared (Prep_xx _), _ ->
-          invalid_arg "Pairing: xx-family prepared argument on an x1 family"
+      | Prepared prep, Curve.Affine q' -> (
+          match resolve prms prep with
+          | Prep_inf -> ()
+          | Prep_x1 steps ->
+              let s = slots.(!nprep) in
+              s.ks_steps <- steps;
+              Fp.Mut.mul_into fp s.ks_xq2.Fp2.re prms.zeta.Fp2.re q'.x;
+              Fp.Mut.mul_into fp s.ks_xq2.Fp2.im prms.zeta.Fp2.im q'.x;
+              s.ks_yq <- q'.y;
+              incr nprep
+          | Prep_xx _ | Prep_folded _ ->
+              invalid_arg "Pairing: xx-family prepared argument on an x1 family")
       | Point Curve.Infinity, _ -> ()
       | Point (Curve.Affine p'), Curve.Affine q' ->
           lives := (p'.x, p'.y, q'.x, q'.y) :: !lives)
@@ -1860,6 +1882,71 @@ let pairing_equal_check_prepared prms ~lhs:(a, b) ~rhs:(c, d) =
      argument instead. *)
   check_product_one_mixed prms
     [ (Prepared a, b); (Prepared c, Curve.neg prms.curve d) ]
+
+(* --- H1's cofactor folded into a prepared first argument ---
+
+   H1 is a try-and-increment lift L followed by an h-multiplication, and
+   the h-multiplication is most of its cost. For P in G1 and ANY curve
+   point L, bilinearity gives e^(P, h.L) = e^(h.P, L), so a first
+   argument prepared as h.P ([prepare ~fold_cofactor:true]) pairs
+   against the raw lift and skips the per-label h-mult. The one gap:
+   [hash_to_g1] re-rolls a label whose h.L is O (probability ~1/q), and
+   the fold cannot see that. So a fast result is final only when it
+   proves h.L <> O:
+   - a GT value <> 1 (e^(h.P, L) = 1 whenever h.L = O);
+   - an accepted equation e^(h.P, L) = e^(c, d) with c, d <> O, whose
+     right side is then <> 1 (c and d in G1, as every caller checks).
+   Anything else — a value of 1, a fast reject, a degenerate Miller
+   product — re-runs the reference path on P and [hash_to_g1], so
+   values and decisions equal it exactly, and counts one fallback. *)
+
+type stats = { fold_fallbacks : int }
+
+let fold_fallbacks = Atomic.make 0
+let stats () = { fold_fallbacks = Atomic.get fold_fallbacks }
+
+(* The fold with its lift passed in: production callers pass the label's
+   own lift ([hash_to_g1_unclamped]); the tests force lifts of order
+   dividing h, which no findable label has. *)
+let h1_pairing_prepared_lift prms prep ~lift label =
+  match prep with
+  | Prep_folded { base; _ } -> (
+      let reference () =
+        Atomic.incr fold_fallbacks;
+        pairing prms base (hash_to_g1 prms label)
+      in
+      match pairing_prepared prms prep lift with
+      | k -> if Fp2.is_one prms.fp k then reference () else k
+      | exception Division_by_zero -> reference ())
+  | _ -> pairing_prepared prms prep (hash_to_g1 prms label)
+
+let h1_equal_check_prepared_lift prms ~lhs:(prep, label) ~lift ~rhs:(c, d) =
+  let check a h =
+    check_product_one_mixed prms [ (a, h); (Prepared c, Curve.neg prms.curve d) ]
+  in
+  match prep with
+  | Prep_folded { base; _ } ->
+      let fast =
+        match check (Prepared prep) lift with
+        | ok ->
+            ok
+            && (match resolve prms c with Prep_inf -> false | _ -> true)
+            && not (Curve.is_infinity d)
+        | exception Division_by_zero -> false
+      in
+      fast
+      || begin
+           Atomic.incr fold_fallbacks;
+           check (Point base) (hash_to_g1 prms label)
+         end
+  | _ -> check (Prepared prep) (hash_to_g1 prms label)
+
+let h1_pairing_prepared prms prep label =
+  h1_pairing_prepared_lift prms prep ~lift:(hash_to_g1_unclamped prms label) label
+
+let h1_equal_check_prepared prms ~lhs:(prep, label) ~rhs =
+  h1_equal_check_prepared_lift prms ~lhs:(prep, label)
+    ~lift:(hash_to_g1_unclamped prms label) ~rhs
 
 let mul_g prms k = Curve.Table.mul (Lazy.force prms.g_table) k
 

@@ -196,7 +196,14 @@ val pairing_equal_check :
     pairing then skips the Miller loop's point arithmetic. All prepared
     variants are bit-identical to their plain counterparts. *)
 
-val prepare : params -> Curve.point -> prepared
+val prepare : ?fold_cofactor:bool -> params -> Curve.point -> prepared
+(** [~fold_cofactor:true] prepares h·P instead of P (h the cofactor),
+    for the H1 entry points below: e^(h·P, L) = e^(P, h·L) for every
+    curve point L, so they pair h·P against the raw lift of a label and
+    skip H1's per-label h-multiplication. Every other entry point pairs
+    such a value as h·P. Construction is free; the schedule is recorded
+    on first use (race-free across domains). *)
+
 val pairing_prepared : params -> prepared -> Curve.point -> Fp2.t
 (** [pairing_prepared prms (prepare prms p) q = pairing prms p q]. *)
 
@@ -207,6 +214,31 @@ val pairing_equal_check_prepared :
 (** Like {!pairing_equal_check}; the inversion of the right-hand side
     negates its point argument (e^(c,d)^-1 = e^(c,-d)), since a prepared
     argument cannot be negated. *)
+
+val h1_pairing_prepared : params -> prepared -> string -> Fp2.t
+(** [h1_pairing_prepared prms (prepare prms p) label =
+    pairing prms p (hash_to_g1 prms label)], bit-identical, with or
+    without [~fold_cofactor]. Folded, it pairs h·P against the raw lift
+    L and keeps the result only when it is not 1 (which proves h·L is
+    not O, so H1 did not re-roll); otherwise it re-runs the plain path
+    and counts a fallback in {!stats}. *)
+
+val h1_equal_check_prepared :
+  params -> lhs:prepared * string -> rhs:prepared * Curve.point -> bool
+(** [h1_equal_check_prepared prms ~lhs:(p, label) ~rhs:(c, d)] decides
+    e^(P, H1(label)) = e^(c, d), exactly as {!pairing_equal_check_prepared}
+    on [hash_to_g1 prms label] does. Folded, an accept is final only when
+    c and d are not O (with d and c's point in G1 — callers check [d]
+    with {!in_g1} first — the right side is then not 1, so h·L is not O);
+    any other outcome, a reject included, re-runs the plain check on P
+    and counts a fallback. *)
+
+type stats = { fold_fallbacks : int  (** H1-fold results re-run on the plain path *) }
+
+val stats : unit -> stats
+(** Process-wide counters since start-up. Honest inputs never move
+    [fold_fallbacks]: it counts rejected equations and labels whose lift
+    h-multiplies to O (probability ~1/q). *)
 
 val mul_g : params -> Bigint.t -> Curve.point
 (** [mul_g prms k = Curve.mul prms.curve k prms.g], via the fixed-base
@@ -237,7 +269,8 @@ val hash_to_g1_unclamped : params -> string -> Curve.point
     unconstrained order. Cofactor clearing commutes with linear
     combinations, so batch verifiers accumulate these raw lifts weighted
     by their small exponents and clear the cofactor {e once} on the sum —
-    one h-mult per batch instead of one per item.
+    one h-mult per batch instead of one per item — or none, pairing the
+    sum against a first argument prepared with [~fold_cofactor:true].
     [hash_to_g1 prms m = Curve.mul prms.curve prms.cofactor
     (hash_to_g1_unclamped prms m)] for every input whose clamped lift is
     nonzero (all but a fraction 1/q < 2^-64 of inputs, on which
@@ -257,3 +290,20 @@ val point_bytes : params -> int
 
 val gt_bytes : params -> int
 (** Serialized width of a G2 element. *)
+
+(**/**)
+
+val h1_pairing_prepared_lift :
+  params -> prepared -> lift:Curve.point -> string -> Fp2.t
+
+val h1_equal_check_prepared_lift :
+  params ->
+  lhs:prepared * string ->
+  lift:Curve.point ->
+  rhs:prepared * Curve.point ->
+  bool
+(** Internal: {!h1_pairing_prepared} and {!h1_equal_check_prepared} with
+    the label's raw lift passed in rather than derived, so the tests can
+    force a lift whose h-multiple is O and watch the fallback fire. The
+    lift is only trusted when the result proves its h-multiple is not O;
+    a lift other than the label's own gives wrong answers. *)

@@ -54,14 +54,15 @@ let encrypt prms (srv : Server.public) id ~release_time rng msg =
 (* Sender-side precomputation: K = e^(r*sG, K_E) = e^(sG, K_E)^r, with sG
    fixed — so prepare sG once and cache the pairing per (id, T); repeated
    encryptions to the same recipient and release time pairing-free, and
-   even cache misses skip the Miller loop's point arithmetic. Outputs are
-   bit-identical to {!encrypt} on the same rng stream. *)
+   even cache misses skip the Miller loop's point arithmetic. The cache
+   is bounded like [Tre.Encryptor]'s (FIFO). Outputs are bit-identical
+   to {!encrypt} on the same rng stream. *)
 module Encryptor = struct
   type t = {
     prms : Pairing.params;
     g_table : Curve.Table.t;
     sg_prep : Pairing.prepared;
-    cache : (identity * time, Fp2.t) Hashtbl.t;
+    cache : (identity * time, Fp2.t) Fifo_cache.t;
   }
 
   let create prms (srv : Server.public) =
@@ -72,21 +73,17 @@ module Encryptor = struct
           ~bits:(Bigint.bit_length prms.Pairing.q)
           srv.Server.g;
       sg_prep = Pairing.prepare prms srv.Server.sg;
-      cache = Hashtbl.create 8;
+      cache = Fifo_cache.create Tre.Encryptor.cache_capacity;
     }
 
   let session_base enc ~id ~release_time =
-    match Hashtbl.find_opt enc.cache (id, release_time) with
-    | Some k -> k
-    | None ->
-        let ke =
-          Curve.add enc.prms.Pairing.curve
-            (Pairing.hash_to_g1 enc.prms id)
-            (Pairing.hash_to_g1 enc.prms release_time)
-        in
-        let k = Pairing.pairing_prepared enc.prms enc.sg_prep ke in
-        Hashtbl.add enc.cache (id, release_time) k;
-        k
+    Fifo_cache.find_or_add enc.cache (id, release_time) (fun (id, release_time) ->
+        Pairing.pairing_prepared enc.prms enc.sg_prep
+          (Curve.add enc.prms.Pairing.curve
+             (Pairing.hash_to_g1 enc.prms id)
+             (Pairing.hash_to_g1 enc.prms release_time)))
+
+  let cached enc = Fifo_cache.length enc.cache
 
   let encrypt enc id ~release_time rng msg =
     let r = Pairing.random_scalar enc.prms rng in

@@ -57,6 +57,10 @@ module Encryptor : sig
 
   val encrypt :
     t -> identity -> release_time:time -> Hashing.Drbg.t -> string -> ciphertext
+
+  val cached : t -> int
+  (** Session keys it holds now: at most {!Tre.Encryptor.cache_capacity},
+      the most recently added (identity, release time) pairs. *)
 end
 
 val decrypt :

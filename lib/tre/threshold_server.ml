@@ -27,9 +27,12 @@ let setup prms rng ~k ~n =
       public = { Tre.Server.g; sg = Curve.mul curve s g };
       share_commitments;
       (* Partial verification pairs against the same commitments for the
-         system's whole lifetime; prepare them once at setup. *)
+         system's whole lifetime: prepare each once, folded with H1's
+         cofactor (recorded on its first use). *)
       commitment_preps =
-        Array.map (fun (i, c) -> (i, Pairing.prepare prms c)) share_commitments;
+        Array.map
+          (fun (i, c) -> (i, Pairing.prepare ~fold_cofactor:true prms c))
+          share_commitments;
       k;
       n;
     }
@@ -54,9 +57,8 @@ let verify_partial prms system t partial =
   | None -> false
   | Some (_, commitment_prep) ->
       Pairing.in_g1 prms partial.value
-      && Pairing.pairing_equal_check_prepared prms
-           ~lhs:(Lazy.force prms.Pairing.g_prep, partial.value)
-           ~rhs:(commitment_prep, Pairing.hash_to_g1 prms t)
+      && Pairing.h1_equal_check_prepared prms ~lhs:(commitment_prep, t)
+           ~rhs:(Lazy.force prms.Pairing.g_prep, partial.value)
 
 (* Share indices are small positive integers (Shamir evaluation points);
    bound them on the wire so a forged partial cannot smuggle an absurd

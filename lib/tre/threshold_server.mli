@@ -21,7 +21,8 @@ type system = {
   public : Tre.Server.public;  (** the ordinary (G, sG) users see *)
   share_commitments : (int * Curve.point) array;  (** (i, s_i G), for share verification *)
   commitment_preps : (int * Pairing.prepared) array;
-      (** the commitments {!Pairing.prepare}d once at setup; used by
+      (** the commitments {!Pairing.prepare}d with [~fold_cofactor:true]
+          at setup (each schedule recorded on first use); used by
           {!verify_partial} *)
   k : int;
   n : int;

@@ -53,11 +53,15 @@ let verify_update prms (pub : Server.public) upd =
 
 (* Both pairings of the verification equation have a fixed first argument
    (sG and G), so a long-lived verifier prepares them once and each
-   update then costs only the two Miller-loop evaluations. [vkey] keys
-   the batch-verification exponent derandomizer to this server. *)
+   update then costs only the two Miller-loop evaluations. sG is prepared
+   folded, as h.sG (recorded on first use): e^(h.sG, L) = e^(sG, h.L), so
+   updates are checked against the raw H1 lift L of their label, with no
+   per-update cofactor multiplication ([Pairing.h1_equal_check_prepared]
+   holds the fallback rule). [vkey] keys the batch-verification exponent
+   derandomizer to this server. *)
 type verifier = {
   vg : Pairing.prepared;
-  vsg : Pairing.prepared;
+  vsg : Pairing.prepared; (* h.sG *)
   vgp : Curve.point;  (* the raw points: delegated verification sends *)
   vsgp : Curve.point; (* them (blinded) instead of pairing on-device *)
   vdel : Delegate.ctx Lazy.t;
@@ -68,7 +72,7 @@ type verifier = {
 
 let make_verifier prms (pub : Server.public) =
   { vg = Pairing.prepare prms pub.Server.g;
-    vsg = Pairing.prepare prms pub.Server.sg;
+    vsg = Pairing.prepare ~fold_cofactor:true prms pub.Server.sg;
     vgp = pub.Server.g;
     vsgp = pub.Server.sg;
     vdel = lazy (Delegate.make prms);
@@ -78,8 +82,8 @@ let make_verifier prms (pub : Server.public) =
 
 let verify_update_with prms vrf upd =
   Pairing.in_g1 prms upd.update_value
-  && Pairing.pairing_equal_check_prepared prms
-       ~lhs:(vrf.vsg, Pairing.hash_to_g1 prms upd.update_time)
+  && Pairing.h1_equal_check_prepared prms
+       ~lhs:(vrf.vsg, upd.update_time)
        ~rhs:(vrf.vg, upd.update_value)
 
 module User = struct
@@ -147,38 +151,39 @@ let encrypt prms srv pk ~release_time rng msg =
    construction, U = rG comes from a fixed-base table, and the pairing is
    cached per release time — K = e^(r*asG, H1(T)) = e^(asG, H1(T))^r by
    bilinearity, so repeated encryptions to the same release time need no
-   pairing at all, just one GT exponentiation. Outputs are bit-identical
-   to {!encrypt} for the same rng stream. *)
+   pairing at all, just one GT exponentiation. A new release time pairs
+   the raw H1 lift against asG prepared folded, as h.asG (recorded on
+   first use), so it skips H1's cofactor multiplication too. The cache
+   is bounded (FIFO): a long-running sender sees an open-ended set of
+   release times. Outputs are bit-identical to {!encrypt} for the same
+   rng stream. *)
 module Encryptor = struct
   type t = {
     prms : Pairing.params;
-    pk : User.public;
+    hasg : Pairing.prepared; (* h.asG *)
     g_table : Curve.Table.t;
-    cache : (time, Fp2.t) Hashtbl.t;
+    cache : (time, Fp2.t) Fifo_cache.t;
   }
+
+  let cache_capacity = 256
 
   let create prms (srv : Server.public) (pk : User.public) =
     if not (validate_receiver_key prms srv pk) then raise Invalid_receiver_key;
     {
       prms;
-      pk;
+      hasg = Pairing.prepare ~fold_cofactor:true prms pk.User.asg;
       g_table =
         Curve.Table.create prms.Pairing.curve
           ~bits:(Bigint.bit_length prms.Pairing.q)
           srv.Server.g;
-      cache = Hashtbl.create 8;
+      cache = Fifo_cache.create cache_capacity;
     }
 
   let release_key enc release_time =
-    match Hashtbl.find_opt enc.cache release_time with
-    | Some k -> k
-    | None ->
-        let k =
-          Pairing.pairing enc.prms enc.pk.User.asg
-            (Pairing.hash_to_g1 enc.prms release_time)
-        in
-        Hashtbl.add enc.cache release_time k;
-        k
+    Fifo_cache.find_or_add enc.cache release_time
+      (Pairing.h1_pairing_prepared enc.prms enc.hasg)
+
+  let cached enc = Fifo_cache.length enc.cache
 
   let encrypt enc ~release_time rng msg =
     let r = Pairing.random_scalar enc.prms rng in
@@ -213,8 +218,10 @@ let decrypt_batch ?pool prms (a : User.secret) pairs =
    pairings per BATCH instead of two per update. Subgroup checks are
    cofactored the same way as in [Bls.batch_sums]: per item only the
    on-curve test, then one q-mult on the weighted update sum; and H1
-   hashes only to the raw curve lift per item, with the cofactor cleared
-   once on the H-sum (clearing commutes with the weighted sum). The
+   hashes only to the raw curve lift per item, with no cofactor clearing
+   at all: the verifier's folded h.sG pairs the raw H-sum S, and
+   e^(h.sG, S) = e^(sG, h.S) for every S, so the decision is the one
+   clearing h.S would give, on every input. The
    residual per-item work (on-curve check, raw H1 lift) shards across an
    optional pool; the weighted sums are two multi-scalar multiplications
    ([Curve.msm]) on the caller, so the sums are bit-identical to the
@@ -295,12 +302,11 @@ module Verifier = struct
            let sum_sig =
              Curve.msm curve (List.map2 (fun d (_, _, s) -> (d, s)) ds checked)
            in
-           (* One aggregate subgroup check on the update sum, one
-              aggregate cofactor clearing on the H-sum. *)
+           (* One aggregate subgroup check on the update sum; the raw
+              H-sum pairs against the folded h.sG. *)
            Pairing.in_g1 prms sum_sig
            && Pairing.pairing_equal_check_prepared prms
-                ~lhs:(vrf.vsg, Curve.mul curve prms.Pairing.cofactor sum_h_raw)
-                ~rhs:(vrf.vg, sum_sig)
+                ~lhs:(vrf.vsg, sum_h_raw) ~rhs:(vrf.vg, sum_sig)
          end
     end
 end

@@ -63,8 +63,9 @@ val verify_update : Pairing.params -> Server.public -> update -> bool
     needed. Also enforces subgroup membership of the update point. *)
 
 type verifier
-(** Prepared pairings for a server public key ({!Pairing.prepare} of G and
-    sG), for parties that verify many updates from one server. *)
+(** Prepared pairings for a server public key ({!Pairing.prepare} of G,
+    and of sG folded with H1's cofactor, recorded on first use), for
+    parties that verify many updates from one server. *)
 
 val make_verifier : Pairing.params -> Server.public -> verifier
 val verify_update_with : Pairing.params -> verifier -> update -> bool
@@ -114,8 +115,8 @@ module Verifier : sig
       on-curve test, then one q-mult on the weighted update sum — an
       off-subgroup component (invisible to the pairing, hence inert for
       decryption) is caught up to the same ~2^-64 bound rather than
-      deterministically. H1's cofactor clearing is likewise paid once on
-      the H-sum. [pool] shards the per-item work (on-curve check, raw H1
+      deterministically. H1's cofactor clearing is not paid at all: the
+      raw H-sum pairs against the verifier's folded h·sG. [pool] shards the per-item work (on-curve check, raw H1
       lift, two 64-bit scalar mults) across domains; the verdict is
       identical with or without it. The empty batch verifies trivially. *)
 end
@@ -199,8 +200,11 @@ val encrypt_prevalidated :
     generator; {!Encryptor.encrypt} then caches the pairing per release
     time (K = e^(asG, H1(T))^r by bilinearity), so repeated encryptions to
     the same release time perform {e zero} pairings — one table-backed
-    scalar multiplication and one GT exponentiation. Ciphertexts are
-    bit-identical to {!encrypt} on the same rng stream. *)
+    scalar multiplication and one GT exponentiation. A new release time
+    costs one prepared pairing of h·asG against H1's raw lift
+    ({!Pairing.h1_pairing_prepared}). The cache keeps the
+    {!Encryptor.cache_capacity} most recently added release times (FIFO).
+    Ciphertexts are bit-identical to {!encrypt} on the same rng stream. *)
 module Encryptor : sig
   type t
 
@@ -208,6 +212,12 @@ module Encryptor : sig
   (** Raises {!Invalid_receiver_key} like {!encrypt}. *)
 
   val encrypt : t -> release_time:time -> Hashing.Drbg.t -> string -> ciphertext
+
+  val cache_capacity : int
+  (** Release keys a context keeps at most. *)
+
+  val cached : t -> int
+  (** Release keys it holds now. *)
 end
 
 val decrypt : Pairing.params -> User.secret -> update -> ciphertext -> string

@@ -422,6 +422,90 @@ let test_attack_kind_confusion backend () =
             (i + 1) st.Netmsg.protocol_errors)
         attacks)
 
+(* ---------------------------------------------------- fd exhaustion *)
+
+(* The daemon binary under a 48-descriptor limit, hit with 80 connects:
+   past the limit [accept] fails with EMFILE while the listen socket
+   stays readable, and a listener that treated that like EAGAIN spun a
+   whole core on its level-triggered poller. The bound is a third of one
+   core over a 1.5 s window (the spinning listener burned ~98%). CPU is
+   utime + stime from /proc/<pid>/stat, in USER_HZ = 100 ticks; the
+   test is a no-op where /proc is absent. Afterwards, with the clients
+   gone, the daemon must still accept and must have counted the event. *)
+let proc_cpu_s pid =
+  let ic = open_in (Printf.sprintf "/proc/%d/stat" pid) in
+  let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
+  let after_comm = String.rindex line ')' + 2 in
+  let fields =
+    String.split_on_char ' ' (String.sub line after_comm (String.length line - after_comm))
+  in
+  (* fields 14 and 15 of stat: the 12th and 13th after the comm *)
+  float_of_int (int_of_string (List.nth fields 11) + int_of_string (List.nth fields 12))
+  /. 100.0
+
+let test_fd_exhaustion_no_spin backend () =
+  if Sys.file_exists "/proc/self/stat" then begin
+    let path = fresh_path () in
+    let cmd =
+      Printf.sprintf
+        "ulimit -n 48 && exec ../bin/tre_serverd.exe --unix %s --params toy64 \
+         --period 60 --quiet --seed fd-limit --backend %s"
+        (Filename.quote path) (Poller.backend_name backend)
+    in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid = Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] null null null in
+    Unix.close null;
+    let conns = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter Unix.close !conns;
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        try Unix.unlink path with Unix.Unix_error _ -> ())
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        let rec await () =
+          match connect path with
+          | c -> Unix.close c.fd
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+            when Unix.gettimeofday () < deadline ->
+              Unix.sleepf 0.02;
+              await ()
+        in
+        await ();
+        for _ = 1 to 80 do
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          conns := fd :: !conns;
+          Unix.set_nonblock fd;
+          try Unix.connect fd (Unix.ADDR_UNIX path)
+          with Unix.Unix_error ((Unix.EAGAIN | Unix.EINPROGRESS), _, _) -> ()
+        done;
+        Unix.sleepf 0.3;
+        let cpu0 = proc_cpu_s pid and t0 = Unix.gettimeofday () in
+        Unix.sleepf 1.5;
+        let cpu = proc_cpu_s pid -. cpu0 and wall = Unix.gettimeofday () -. t0 in
+        if cpu > wall /. 3.0 then
+          Alcotest.failf "daemon used %.2f s of CPU in %.2f s at the fd limit" cpu wall;
+        List.iter Unix.close !conns;
+        conns := [];
+        (* The paused listener re-arms within a poll timeout once fds
+           are free again; ask it for its counters. *)
+        Unix.sleepf 0.5;
+        let c = connect path in
+        conns := [ c.fd ];
+        send_all c.fd (Frame.encode (Netmsg.stats_query_to_bytes prms));
+        let stats =
+          List.find_map
+            (fun f -> Result.to_option (Netmsg.stats_of_bytes prms f))
+            (read_frames c 2)
+        in
+        match stats with
+        | None -> Alcotest.fail "no stats reply after the fd limit"
+        | Some st ->
+            Alcotest.(check bool) "accepts at the fd limit counted" true
+              (st.Netmsg.accept_fd_exhausted > 0))
+  end
+
 (* --------------------------------------------------- poller backend *)
 
 let with_socketpair f =
@@ -574,6 +658,7 @@ let () =
           ("encode-once fan-out", test_encode_once_fanout);
           ("archive endpoint", test_archive_endpoint);
           ("back-pressure eviction", test_backpressure_evicts_slow_reader);
+          ("no spin at the fd limit", test_fd_exhaustion_no_spin);
         ]
     @ per_backend "attacks"
         [

@@ -195,6 +195,7 @@ let targets prms =
             queue_bytes_peak = 4_096;
             send_syscalls = 321;
             poll_wakeups = 55;
+            accept_fd_exhausted = 7;
             shard_conns = [ 3; 2; 0 ];
           };
       decode_reencode = re Netmsg.stats_of_bytes Netmsg.stats_to_bytes;
