@@ -1541,6 +1541,41 @@ let fold_smoke () =
     Pairing.all_names;
   Printf.printf "all folded paths agree with the plain path\n"
 
+(* [--smoke] for the G1 membership memo: on every named set, each honest
+   update decoded ([Tre.update_of_bytes]) and then verified
+   ([Tre.Verifier.verify_update]) pays exactly one full q-multiplication
+   and one memo hit, and moves no degenerate-input fallback. *)
+let g1_once_smoke () =
+  Printf.printf "G1-once smoke: one subgroup check per received update\n";
+  List.iter
+    (fun set_name ->
+      let prms = Option.get (Pairing.by_name set_name) in
+      let rng = Hashing.Drbg.create ~seed:("g1-once-smoke-" ^ set_name) () in
+      let srv_sec, srv_pub = Tre.Server.keygen prms rng in
+      let vrf = Tre.Verifier.create prms srv_pub in
+      let n = 4 in
+      let wire =
+        List.init n (fun i ->
+            Tre.update_to_bytes prms
+              (Tre.issue_update prms srv_sec (Printf.sprintf "g1-once-%d" i)))
+      in
+      let before = Pairing.stats () in
+      List.iter
+        (fun bytes ->
+          match Tre.update_of_bytes prms bytes with
+          | Ok u -> assert (Tre.Verifier.verify_update prms vrf u)
+          | Error e -> failwith e)
+        wire;
+      let after = Pairing.stats () in
+      let checks = after.Pairing.g1_checks - before.Pairing.g1_checks in
+      let hits = after.Pairing.g1_memo_hits - before.Pairing.g1_memo_hits in
+      assert (checks = n && hits = n);
+      assert (after.Pairing.degenerate_fallbacks = before.Pairing.degenerate_fallbacks);
+      Printf.printf "g1-once %-18s OK (%d updates: %d checks, %d memo hits)\n" set_name n
+        checks hits)
+    Pairing.all_names;
+  Printf.printf "every received update was checked once\n"
+
 (* =========================================================================
    A1 - ablation: implementation choices (pairing products)
    ========================================================================= *)
@@ -1897,6 +1932,7 @@ let () =
     e1kernel_smoke ();
     batch_smoke ();
     fold_smoke ();
+    g1_once_smoke ();
     exit 0
   end;
   if e1kernel_only then begin

@@ -4,12 +4,14 @@
    which is fine for single additions (scalar multiplication avoids them
    via Jacobian coordinates). *)
 
-type ctx = { fp : Fp.ctx; a : Fp.t; b : Fp.t; a_is_zero : bool }
+(* [a_is_zero] / [a_is_one] cover both curve families: a*Z^4 in the
+   doubling formula is then either dropped or a plain Z^4. *)
+type ctx = { fp : Fp.ctx; a : Fp.t; b : Fp.t; a_is_zero : bool; a_is_one : bool }
 type point = Infinity | Affine of { x : Fp.t; y : Fp.t }
 
 let create ?(a = 1) ?(b = 0) fp =
   let a = Fp.of_int fp a and b = Fp.of_int fp b in
-  { fp; a; b; a_is_zero = Fp.is_zero fp a }
+  { fp; a; b; a_is_zero = Fp.is_zero fp a; a_is_one = Fp.equal a (Fp.one fp) }
 
 let coeff_a ctx = ctx.a
 let coeff_b ctx = ctx.b
@@ -92,6 +94,7 @@ let jac_double ctx p =
     (* M = 3X^2 + a*Z^4; both curve families have a in {0, 1}. *)
     let m =
       if ctx.a_is_zero then three_x2
+      else if ctx.a_is_one then Fp.add fp three_x2 (Fp.sqr fp z2)
       else Fp.add fp three_x2 (Fp.mul fp ctx.a (Fp.sqr fp z2))
     in
     let x' = Fp.sub fp (Fp.sqr fp m) (Fp.add fp s s) in
@@ -302,7 +305,7 @@ let jdouble_in ctx r =
     Fp.Mut.add_into fp r.t4 r.t4 r.t3; (* t4 = 3*X^2 *)
     if not ctx.a_is_zero then begin
       Fp.Mut.sqr_into fp r.t5 r.t2;
-      Fp.Mut.mul_into fp r.t5 ctx.a r.t5;
+      if not ctx.a_is_one then Fp.Mut.mul_into fp r.t5 ctx.a r.t5;
       Fp.Mut.add_into fp r.t4 r.t4 r.t5 (* t4 = M = 3X^2 + a*Z^4 *)
     end;
     Fp.Mut.sqr_into fp r.t5 r.t4;
@@ -393,12 +396,19 @@ let jac_steps_kernel ctx point steps =
       jregs_release r;
       p
 
-let mul_double_add ctx k point =
+(* The two scalar multiplications below hand their Jacobian result to a
+   [finish] function instead of normalizing it themselves: [jac_to_affine]
+   for {!mul}; a Z = 0 test for {!mul_is_infinity}, which thereby skips
+   the final field inversion. A register-file result is passed as a view
+   of the accumulator, valid only during the call. *)
+let jac_is_infinity ctx p = Fp.is_zero ctx.fp p.jz
+
+let double_add_with ctx k point finish =
   let k, point =
     if Bigint.sign k >= 0 then (k, point) else (Bigint.neg k, neg ctx point)
   in
   match point with
-  | Infinity -> Infinity
+  | Infinity -> finish ctx (jac_infinity ctx.fp)
   | Affine { x = x2; y = y2 } ->
       let fp = ctx.fp in
       let bits = Bigint.bit_length k in
@@ -407,7 +417,9 @@ let mul_double_add ctx k point =
         acc := jac_double ctx !acc;
         if Bigint.test_bit k i then acc := jac_add_affine ctx !acc ~x2 ~y2
       done;
-      jac_to_affine ctx !acc
+      finish ctx !acc
+
+let mul_double_add ctx k point = double_add_with ctx k point jac_to_affine
 
 (* Width-w non-adjacent form of k >= 0: digits.(i) is the signed odd digit
    at bit i, in (-2^(w-1), 2^(w-1)), with at least w-1 zeros after every
@@ -454,16 +466,16 @@ let wnaf_digits k w =
 (* Scalar multiplication by width-w NAF with a batch-normalized table of
    odd multiples: ~bits doublings + bits/(w+1) mixed additions, against
    bits + bits/2 for the double-and-add ladder. *)
-let mul ctx k point =
+let mul_with ctx k point finish =
   let k, point =
     if Bigint.sign k >= 0 then (k, point) else (Bigint.neg k, neg ctx point)
   in
   match point with
-  | Infinity -> Infinity
+  | Infinity -> finish ctx (jac_infinity ctx.fp)
   | Affine { x = x2; y = y2 } as p ->
       let fp = ctx.fp in
       let bits = Bigint.bit_length k in
-      if bits < 32 then mul_double_add ctx k p
+      if bits < 32 then double_add_with ctx k p finish
       else begin
         let w = if bits <= 200 then 4 else 5 in
         let tcount = 1 lsl (w - 2) in
@@ -478,7 +490,7 @@ let mul ctx k point =
              infinity; the plain ladder handles them. *)
           Fp.is_zero fp twop.jz
           || Array.exists (fun q -> Fp.is_zero fp q.jz) tbl_j
-        then mul_double_add ctx k p
+        then double_add_with ctx k p finish
         else begin
           let tbl = batch_to_affine ctx tbl_j in
           let digits = wnaf_digits k w in
@@ -500,11 +512,14 @@ let mul ctx k point =
               else jadd_affine_in ctx r ~x2:tx ~y2:ty
             end
           done;
-          let p = jregs_to_affine ctx r in
+          let res = finish ctx { jx = r.ax; jy = r.ay; jz = r.az } in
           jregs_release r;
-          p
+          res
         end
       end
+
+let mul ctx k point = mul_with ctx k point jac_to_affine
+let mul_is_infinity ctx k point = mul_with ctx k point jac_is_infinity
 
 (* Multi-scalar multiplication sum_i k_i * P_i: every term's wNAF digit
    stream is interleaved over ONE shared doubling chain, all the terms'

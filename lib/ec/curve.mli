@@ -38,6 +38,12 @@ val mul : ctx -> Bigint.t -> point -> point
 (** Scalar multiplication (width-w NAF with a precomputed odd-multiples
     table); negative scalars negate the point. *)
 
+val mul_is_infinity : ctx -> Bigint.t -> point -> bool
+(** [mul_is_infinity ctx k p] = [is_infinity (mul ctx k p)]: the same
+    computation as {!mul}, decided on the Jacobian result (Z = 0), so
+    without {!mul}'s final field inversion. The subgroup-membership test
+    ({!Pairing.in_g1}) runs on it. *)
+
 val mul_double_add : ctx -> Bigint.t -> point -> point
 (** Reference Jacobian double-and-add ladder. Always agrees with {!mul};
     kept for the equivalence tests and the before/after benchmark. *)

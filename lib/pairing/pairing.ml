@@ -175,6 +175,11 @@ let binary_digits n =
    handled in-line on both schedules. *)
 exception Degenerate_chain
 
+(* Every [Degenerate_chain] caught — a walk re-run or re-recorded on the
+   binary schedule, or a live pair evicted from the product kernel — for
+   {!stats}. *)
+let degenerate_fallbacks = Atomic.make 0
+
 (* --- building prepared pairings ---
 
    These walk the same schedules as [miller_loop_xx] / [miller_loop_x1]
@@ -310,6 +315,7 @@ let record_xx prms pt digits ~legacy_keep =
 let prepare_xx prms pt =
   try record_xx prms pt prms.q_naf ~legacy_keep:false
   with Degenerate_chain ->
+    Atomic.incr degenerate_fallbacks;
     record_xx prms pt (binary_digits prms.q) ~legacy_keep:true
 
 let prepare_x1 prms pt =
@@ -425,7 +431,7 @@ let make ?(family = Y2_x3_x) ~name ~p ~q () =
     | Y2_x3_1 -> Curve.create ~a:0 ~b:1 fp
   in
   let g = hash_to_g1_raw ~fp ~curve ~cofactor ("TRE-generator|" ^ name) in
-  if not (Curve.is_infinity (Curve.mul curve q g)) then
+  if not (Curve.mul_is_infinity curve q g) then
     invalid_arg "Pairing.make: generator does not have order q";
   let final_exp = Bigint.div (Bigint.pred (Bigint.mul p p)) q in
   let zeta = match family with Y2_x3_x -> Fp2.one fp | Y2_x3_1 -> cube_root_of_unity fp in
@@ -1008,7 +1014,9 @@ let miller_loop_xx_naf prms pt qt =
 
 let miller_loop_xx prms pt qt =
   try miller_loop_xx_naf prms pt qt
-  with Degenerate_chain -> miller_loop_xx_bin prms pt qt
+  with Degenerate_chain ->
+    Atomic.incr degenerate_fallbacks;
+    miller_loop_xx_bin prms pt qt
 
 (* The Miller function for the y^2 = x^3 + 1 family, evaluated at the
    distorted point phi(Q) = (zeta xq, yq) with zeta in GF(p^2). Because
@@ -1559,6 +1567,7 @@ let xx_product prms items =
         (* The k-th live pair hit the coincident-operand degeneracy
            (low-order first argument): evaluate it alone on the binary
            mirror schedule and interleave the rest without it. *)
+        Atomic.incr degenerate_fallbacks;
         let pt, qt = lv.(k) in
         extras := miller_loop_xx_bin prms pt qt :: !extras;
         attempt (List.filteri (fun j _ -> j <> k) lives)
@@ -1900,10 +1909,7 @@ let pairing_equal_check_prepared prms ~lhs:(a, b) ~rhs:(c, d) =
    product — re-runs the reference path on P and [hash_to_g1], so
    values and decisions equal it exactly, and counts one fallback. *)
 
-type stats = { fold_fallbacks : int }
-
 let fold_fallbacks = Atomic.make 0
-let stats () = { fold_fallbacks = Atomic.get fold_fallbacks }
 
 (* The fold with its lift passed in: production callers pass the label's
    own lift ([hash_to_g1_unclamped]); the tests force lifts of order
@@ -1950,9 +1956,59 @@ let h1_equal_check_prepared prms ~lhs:(prep, label) ~rhs =
 
 let mul_g prms k = Curve.Table.mul (Lazy.force prms.g_table) k
 
+(* --- G1 membership, paid once per received point ---
+
+   A receiver's update is checked by the codec when it is decoded and
+   again by the verifier, on the same value. So each domain remembers the
+   last point it proved in G1, with its params (by physical identity:
+   sets are built once) and a COPY of its coordinates. A later call on
+   the same params with an equal point costs a limb compare. The copy is
+   what makes this sound: [Fp.t] is a mutable limb array, so a memo
+   keyed on the caller's own arrays (or on the point's identity) would
+   still match after an in-place write turned them into another point.
+   Only accepted points are stored; any other call runs the full test. *)
+
+let g1_checks = Atomic.make 0
+let g1_memo_hits = Atomic.make 0
+
+let g1_memo : (params * Curve.point) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 let in_g1 prms point =
-  Curve.on_curve prms.curve point
-  && Curve.is_infinity (Curve.mul prms.curve prms.q point)
+  match point with
+  | Curve.Infinity -> true
+  | Curve.Affine { x; y } -> (
+      let memo = Domain.DLS.get g1_memo in
+      match !memo with
+      | Some (mp, mpt) when mp == prms && Curve.equal mpt point ->
+          Atomic.incr g1_memo_hits;
+          true
+      | _ ->
+          let ok =
+            Curve.on_curve prms.curve point
+            && begin
+                 Atomic.incr g1_checks;
+                 Curve.mul_is_infinity prms.curve prms.q point
+               end
+          in
+          if ok then begin
+            let fp = prms.fp in
+            memo := Some (prms, Curve.Affine { x = Fp.Mut.copy fp x; y = Fp.Mut.copy fp y })
+          end;
+          ok)
+
+type stats = {
+  fold_fallbacks : int;
+  g1_checks : int;
+  g1_memo_hits : int;
+  degenerate_fallbacks : int;
+}
+
+let stats () =
+  { fold_fallbacks = Atomic.get fold_fallbacks;
+    g1_checks = Atomic.get g1_checks;
+    g1_memo_hits = Atomic.get g1_memo_hits;
+    degenerate_fallbacks = Atomic.get degenerate_fallbacks }
 
 let ddh prms base a b c = pairing_equal_check prms ~lhs:(a, b) ~rhs:(base, c)
 

@@ -233,12 +233,21 @@ val h1_equal_check_prepared :
     any other outcome, a reject included, re-runs the plain check on P
     and counts a fallback. *)
 
-type stats = { fold_fallbacks : int  (** H1-fold results re-run on the plain path *) }
+type stats = {
+  fold_fallbacks : int;  (** H1-fold results re-run on the plain path *)
+  g1_checks : int;  (** {!in_g1} calls that ran the q-multiplication *)
+  g1_memo_hits : int;  (** {!in_g1} calls answered by the memo *)
+  degenerate_fallbacks : int;
+      (** NAF Miller walks that hit the coincident-addition case: a
+          binary-loop re-run, a binary-recorded prepared schedule, or a
+          pair evicted from the product kernel *)
+}
 
 val stats : unit -> stats
 (** Process-wide counters since start-up. Honest inputs never move
     [fold_fallbacks]: it counts rejected equations and labels whose lift
-    h-multiplies to O (probability ~1/q). *)
+    h-multiplies to O (probability ~1/q). Nor do they move
+    [degenerate_fallbacks]: only low-order inputs reach it. *)
 
 val mul_g : params -> Bigint.t -> Curve.point
 (** [mul_g prms k = Curve.mul prms.curve k prms.g], via the fixed-base
@@ -251,7 +260,13 @@ val gt_equal : Fp2.t -> Fp2.t -> bool
 val gt_one : params -> Fp2.t
 
 val in_g1 : params -> Curve.point -> bool
-(** On-curve and killed by q (subgroup membership). *)
+(** On-curve and killed by q (subgroup membership). Each domain
+    remembers the last point it accepted, as a copy of its coordinates
+    together with [params] (physical identity); a call with the same
+    params and an equal point returns [true] without the q-multiplication
+    (counted in {!stats} as a memo hit). Decisions equal
+    [Curve.on_curve c p && Curve.is_infinity (Curve.mul c q p)] on every
+    input. *)
 
 val ddh : params -> Curve.point -> Curve.point -> Curve.point -> Curve.point -> bool
 (** [ddh prms p a b c] decides whether (p, a, b, c) is a DDH tuple, i.e.

@@ -227,6 +227,46 @@ let test_mul_paths_all_param_sets () =
             scalars)
     Pairing.all_names
 
+let test_mul_is_infinity () =
+  (* The inversion-free test against [is_infinity (mul k p)] on every
+     named set: subgroup, off-subgroup, low-order, 2-torsion and infinity
+     bases, scalars that do and do not kill them, both signs, zero, and
+     both the short-scalar ladder and the wNAF path. *)
+  let rng = Hashing.Drbg.create ~seed:"mul-is-infinity" () in
+  List.iter
+    (fun name ->
+      let prms = Option.get (Pairing.by_name name) in
+      let curve = prms.Pairing.curve and q = prms.Pairing.q in
+      let h = prms.Pairing.cofactor in
+      let lift = Pairing.hash_to_g1_unclamped prms ("mii-" ^ name) in
+      let low = Curve.mul curve q lift in
+      let fp = prms.Pairing.fp in
+      let two_torsion =
+        List.filter (Curve.on_curve curve)
+          [ Curve.Affine { x = Fp.zero fp; y = Fp.zero fp };
+            Curve.Affine { x = Fp.neg fp (Fp.one fp); y = Fp.zero fp } ]
+      in
+      let bases =
+        [ prms.Pairing.g; Pairing.hash_to_g1 prms ("mii-g1-" ^ name); lift; low;
+          Curve.infinity ]
+        @ two_torsion
+      in
+      let r = Pairing.random_scalar prms rng in
+      let scalars =
+        [ B.zero; B.one; B.of_int (-1); B.two; B.of_int 3; q; B.neg q; h; B.neg h;
+          B.mul h q; B.succ q; B.pow B.two 40; r; B.neg r; B.mul r q ]
+      in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun k ->
+              let expect = Curve.is_infinity (Curve.mul curve k p) in
+              if Curve.mul_is_infinity curve k p <> expect then
+                Alcotest.failf "%s: mul_is_infinity %s" name (B.to_string k))
+            scalars)
+        bases)
+    Pairing.all_names
+
 let prop_bytes_roundtrip =
   QCheck2.Test.make ~name:"point codec roundtrip" ~count:100 gen_subgroup_point
     (fun a -> Curve.of_bytes curve (Curve.to_bytes curve a) = Some a)
@@ -306,6 +346,7 @@ let () =
             Alcotest.test_case "2-torsion fallbacks" `Quick test_mul_paths_two_torsion;
             Alcotest.test_case "msm edges" `Quick test_msm_edges;
             Alcotest.test_case "all parameter sets" `Slow test_mul_paths_all_param_sets;
+            Alcotest.test_case "mul_is_infinity" `Quick test_mul_is_infinity;
           ] );
       ( "codec",
         qc [ prop_bytes_roundtrip ]

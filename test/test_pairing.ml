@@ -612,6 +612,170 @@ let test_param_search_small () =
   Alcotest.(check bool) "non-degenerate" false
     (Pairing.gt_equal gg (Pairing.gt_one fresh))
 
+(* --- G1 membership: counters, the per-domain memo, fallback counters --- *)
+
+let g1_ref prms p =
+  Curve.on_curve prms.Pairing.curve p
+  && Curve.is_infinity (Curve.mul prms.Pairing.curve prms.Pairing.q p)
+
+let g1_counts () =
+  let s = Pairing.stats () in
+  (s.Pairing.g1_checks, s.Pairing.g1_memo_hits)
+
+let degenerate () = (Pairing.stats ()).Pairing.degenerate_fallbacks
+
+(* Moves of (checks, hits) across [f ()]. *)
+let g1_delta f =
+  let c0, h0 = g1_counts () in
+  let v = f () in
+  let c1, h1 = g1_counts () in
+  (v, (c1 - c0, h1 - h0))
+
+let delta = Alcotest.(pair int int)
+
+(* A raw H1 lift: a curve point of unconstrained order, asserted against
+   the reference to lie outside G1. *)
+let off_subgroup prms label =
+  let l = Pairing.hash_to_g1_unclamped prms label in
+  if g1_ref prms l then Alcotest.fail "lift unexpectedly in G1";
+  l
+
+let test_g1_once_decode_verify () =
+  List.iter
+    (fun prms ->
+      let rng = Hashing.Drbg.create ~seed:"g1-once" () in
+      let srv_sec, srv_pub = Tre.Server.keygen prms rng in
+      let vrf = Tre.Verifier.create prms srv_pub in
+      let bytes = Tre.update_to_bytes prms (Tre.issue_update prms srv_sec "g1-once-T") in
+      let ok, d =
+        g1_delta (fun () ->
+            match Tre.update_of_bytes prms bytes with
+            | Ok u -> Tre.Verifier.verify_update prms vrf u
+            | Error e -> Alcotest.fail e)
+      in
+      let name = prms.Pairing.name in
+      Alcotest.(check bool) (name ^ ": honest update verifies") true ok;
+      Alcotest.check delta (name ^ ": one check, one memo hit") (1, 1) d)
+    [ Pairing.toy64 (); Pairing.toy64b () ]
+
+let test_g1_rejects_not_cached () =
+  let member = Pairing.hash_to_g1 prms "g1-member" in
+  let lift = off_subgroup prms "g1-off" in
+  let v, d = g1_delta (fun () -> Pairing.in_g1 prms member) in
+  Alcotest.(check bool) "member accepted" true v;
+  Alcotest.check delta "member: one full check" (1, 0) d;
+  let v, d =
+    g1_delta (fun () -> (Pairing.in_g1 prms lift, Pairing.in_g1 prms lift))
+  in
+  Alcotest.(check (pair bool bool)) "lift rejected twice" (false, false) v;
+  Alcotest.check delta "rejects: two full checks, no hit" (2, 0) d;
+  (* The rejections neither entered the memo nor evicted the member. *)
+  let v, d = g1_delta (fun () -> Pairing.in_g1 prms member) in
+  Alcotest.(check bool) "member still accepted" true v;
+  Alcotest.check delta "member: memo hit" (0, 1) d
+
+let test_g1_memo_holds_a_copy () =
+  let fp = prms.Pairing.fp in
+  let pt = Pairing.hash_to_g1 prms "g1-mutate" in
+  Alcotest.(check bool) "member accepted" true (Pairing.in_g1 prms pt);
+  match (pt, off_subgroup prms "g1-mutate-off") with
+  | Curve.Affine { x; y }, Curve.Affine l ->
+      (* Overwrite the checked point's own limb arrays with a point outside
+         G1: a memo keyed on those arrays would still match. *)
+      Fp.Mut.set fp x l.x;
+      Fp.Mut.set fp y l.y;
+      let v, d = g1_delta (fun () -> Pairing.in_g1 prms pt) in
+      Alcotest.(check bool) "mutated point rejected" false v;
+      Alcotest.check delta "mutated point: full check" (1, 0) d
+  | _ -> Alcotest.fail "unexpected infinity"
+
+let test_g1_memo_per_params () =
+  (* One curve, two subgroups: p + 1 = 308 = 4 * 7 * 11. The point
+     coordinates are the same field elements under both sets. *)
+  let p = B.of_int 307 in
+  let p7 = Pairing.make ~name:"p307-q7" ~p ~q:(B.of_int 7) () in
+  let p11 = Pairing.make ~name:"p307-q11" ~p ~q:(B.of_int 11) () in
+  let pt = Pairing.hash_to_g1 p7 "g1-params" in
+  Alcotest.(check bool) "order-7 point in the q=7 G1" true (Pairing.in_g1 p7 pt);
+  Alcotest.(check bool) "reference agrees (q=11)" false (g1_ref p11 pt);
+  let v, d = g1_delta (fun () -> Pairing.in_g1 p11 pt) in
+  Alcotest.(check bool) "not in the q=11 G1" false v;
+  Alcotest.check delta "other params: full check, no hit" (1, 0) d
+
+let test_g1_pool_agrees () =
+  let pool = Pool.create ~domains:4 ~oversubscribe:true () in
+  List.iter
+    (fun prms ->
+      let name = prms.Pairing.name in
+      let pts =
+        List.concat
+          (List.init 6 (fun i ->
+               let m = Pairing.hash_to_g1 prms (Printf.sprintf "pool-m-%d" i) in
+               let l = Pairing.hash_to_g1_unclamped prms (Printf.sprintf "pool-l-%d" i) in
+               (* repeats exercise the memo inside a chunk *)
+               [ m; m; l; l; Curve.infinity; m; Curve.neg prms.Pairing.curve m ]))
+      in
+      let expected = List.map (g1_ref prms) pts in
+      for round = 1 to 3 do
+        Alcotest.(check (list bool))
+          (Printf.sprintf "%s: pool in_g1 = reference (round %d)" name round)
+          expected
+          (Pool.map pool (Pairing.in_g1 prms) pts)
+      done)
+    [ Pairing.toy64 (); Pairing.toy64b () ];
+  Pool.shutdown pool
+
+let test_degenerate_counter () =
+  (* toy64's cofactor has the factor 5, and q's NAF walk lands on the
+     coincident-addition case for an order-5 first argument: each path
+     that meets it counts exactly one fallback and still equals the
+     reference. *)
+  let lift = Pairing.hash_to_g1_unclamped prms "degenerate-order-5" in
+  let p5 = Curve.mul curve (B.div (Curve.group_order curve) (B.of_int 5)) lift in
+  Alcotest.(check bool) "order 5" true
+    ((not (Curve.is_infinity p5)) && Curve.is_infinity (Curve.mul curve (B.of_int 5) p5));
+  let qpt = Curve.mul curve (Pairing.random_scalar prms rng) g in
+  let moves f =
+    let before = degenerate () in
+    let v = f () in
+    (v, degenerate () - before)
+  in
+  let v, d = moves (fun () -> Pairing.pairing prms p5 qpt) in
+  Alcotest.(check int) "single loop: one fallback" 1 d;
+  Alcotest.check gt "single loop = ref" (Pairing.pairing_ref prms p5 qpt) v;
+  let expected =
+    Pairing.gt_equal
+      (Pairing.gt_mul prms (Pairing.pairing_ref prms p5 qpt) (Pairing.pairing_ref prms g qpt))
+      (Pairing.gt_one prms)
+  in
+  let v, d = moves (fun () -> Pairing.check_product_one prms [ (p5, qpt); (g, qpt) ]) in
+  Alcotest.(check int) "product kernel: one eviction" 1 d;
+  Alcotest.(check bool) "product decision = ref" expected v;
+  let _, d = moves (fun () -> Pairing.prepare prms p5) in
+  Alcotest.(check int) "prepare: one binary recording" 1 d;
+  (* Honest traffic: keys, updates, encryption, verification (single,
+     folded and batched) and decryption move nothing. *)
+  let before = degenerate () in
+  List.iter
+    (fun prms ->
+      let rng = Hashing.Drbg.create ~seed:"honest-degenerate" () in
+      let srv_sec, srv_pub = Tre.Server.keygen prms rng in
+      let usk, usr_pub = Tre.User.keygen prms srv_pub rng in
+      let vrf = Tre.Verifier.create prms srv_pub in
+      let enc = Tre.Encryptor.create prms srv_pub usr_pub in
+      let upds = List.init 4 (fun i -> Tre.issue_update prms srv_sec (Printf.sprintf "h-%d" i)) in
+      List.iter
+        (fun u ->
+          let t = u.Tre.update_time in
+          assert (Tre.Verifier.verify_update prms vrf u);
+          assert (Tre.verify_update prms srv_pub u);
+          let ct = Tre.Encryptor.encrypt enc ~release_time:t rng "msg" in
+          assert (Tre.decrypt prms usk u ct = "msg"))
+        upds;
+      assert (Tre.Verifier.verify_updates prms vrf upds))
+    [ Pairing.toy64 (); Pairing.toy64b () ];
+  Alcotest.(check int) "honest traffic: no fallback" 0 (degenerate () - before)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "pairing"
@@ -662,5 +826,14 @@ let () =
           Alcotest.test_case "full TRE roundtrip" `Quick test_family2_full_tre_roundtrip;
           Alcotest.test_case "ddh + products" `Quick test_family2_ddh_and_products;
           Alcotest.test_case "make validation" `Quick test_family2_make_validation;
+        ] );
+      ( "g1-once",
+        [
+          Alcotest.test_case "decode then verify" `Quick test_g1_once_decode_verify;
+          Alcotest.test_case "rejects not cached" `Quick test_g1_rejects_not_cached;
+          Alcotest.test_case "memo holds a copy" `Quick test_g1_memo_holds_a_copy;
+          Alcotest.test_case "memo per params" `Quick test_g1_memo_per_params;
+          Alcotest.test_case "4-domain pool" `Quick test_g1_pool_agrees;
+          Alcotest.test_case "degenerate counter" `Quick test_degenerate_counter;
         ] );
     ]
